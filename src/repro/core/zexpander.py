@@ -133,10 +133,7 @@ class ZExpander:
             self._record_service(nzone=True)
             return value
         hashed = hash_key(key)
-        if batch is None:
-            result = self.zzone.get(key, hashed)
-        else:
-            result = self.zzone.get_batched(key, hashed, batch)
+        result = self.zzone.get(key, hashed, batch)
         if result is None:
             self.stats.get_misses += 1
             # Filter-identified misses are cheap and count for neither

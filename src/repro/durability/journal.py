@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from dataclasses import dataclass, field
 from time import monotonic
 from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple
 
+from repro.common import framing
 from repro.common.errors import ConfigurationError, JournalError
 from repro.common.fsio import fsync_directory
 
@@ -58,7 +58,7 @@ OP_DELETE = 0x44  # b"D"
 #: A SET carrying a non-zero client-flags word (4 bytes BE after the key).
 OP_SET_FLAGS = 0x46  # b"F"
 
-_FRAME_LEN = struct.Struct(">I")
+_FLAGS = struct.Struct(">I")
 _PAYLOAD_HEAD = struct.Struct(">BI")
 #: Sanity bound, matching the snapshot reader: no key or value > 256 MiB.
 _MAX_FIELD = 256 * 1024 * 1024
@@ -120,7 +120,7 @@ def encode_payload(
         op = OP_SET_FLAGS
     head = _PAYLOAD_HEAD.pack(op, len(key)) + key
     if op == OP_SET_FLAGS:
-        return head + _FRAME_LEN.pack(flags) + value
+        return head + _FLAGS.pack(flags) + value
     return head + value
 
 
@@ -128,12 +128,7 @@ def encode_record(
     op: int, key: bytes, value: bytes = b"", flags: int = 0
 ) -> bytes:
     """One framed journal record, CRC included."""
-    payload = encode_payload(op, key, value, flags)
-    return (
-        _FRAME_LEN.pack(len(payload))
-        + payload
-        + _FRAME_LEN.pack(zlib.crc32(payload))
-    )
+    return framing.encode(encode_payload(op, key, value, flags))
 
 
 def decode_payload_meta(payload: bytes) -> Tuple[int, bytes, bytes, int]:
@@ -154,10 +149,10 @@ def decode_payload_meta(payload: bytes) -> Tuple[int, bytes, bytes, int]:
     rest = payload[_PAYLOAD_HEAD.size + key_len :]
     flags = 0
     if op == OP_SET_FLAGS:
-        if len(rest) < _FRAME_LEN.size:
+        if len(rest) < _FLAGS.size:
             raise JournalError("flagged set record missing its flags word")
-        (flags,) = _FRAME_LEN.unpack_from(rest)
-        rest = rest[_FRAME_LEN.size :]
+        (flags,) = _FLAGS.unpack_from(rest)
+        rest = rest[_FLAGS.size :]
         op = OP_SET
     if op == OP_DELETE and rest:
         raise JournalError("delete record carries a value")
@@ -217,7 +212,7 @@ def read_segment(
             return scan
         scan.valid_bytes = len(SEGMENT_MAGIC)
         for op, key, value, flags, end_offset, error in _iter_frames(
-            stream, scan.valid_bytes
+            stream, scan.valid_bytes, size
         ):
             if error is not None:
                 scan.error = error
@@ -233,41 +228,19 @@ def read_segment(
 
 
 def _iter_frames(
-    stream: BinaryIO, offset: int
+    stream: BinaryIO, offset: int, size: int
 ) -> Iterator[Tuple[int, bytes, bytes, int, int, Optional[str]]]:
     """Yield (op, key, value, flags, end_offset, error); error terminates."""
     while True:
-        header = stream.read(_FRAME_LEN.size)
-        if not header:
-            return
-        if len(header) != _FRAME_LEN.size:
-            yield 0, b"", b"", 0, offset, "torn record length header"
-            return
-        (payload_len,) = _FRAME_LEN.unpack(header)
-        if payload_len > _MAX_PAYLOAD:
-            yield 0, b"", b"", 0, offset, (
-                f"implausible payload length {payload_len}"
-            )
-            return
-        payload = stream.read(payload_len)
-        trailer = stream.read(_FRAME_LEN.size)
-        if len(payload) != payload_len or len(trailer) != _FRAME_LEN.size:
-            yield 0, b"", b"", 0, offset, "torn record body"
-            return
-        (stored_crc,) = _FRAME_LEN.unpack(trailer)
-        actual_crc = zlib.crc32(payload)
-        if stored_crc != actual_crc:
-            yield 0, b"", b"", 0, offset, (
-                f"record CRC mismatch: stored {stored_crc:#010x}, "
-                f"computed {actual_crc:#010x}"
-            )
-            return
         try:
+            payload = framing.read_frame(stream, _MAX_PAYLOAD, size)
+            if payload is None:
+                return
             op, key, value, flags = decode_payload_meta(payload)
-        except JournalError as exc:
+        except (framing.FrameError, JournalError) as exc:
             yield 0, b"", b"", 0, offset, str(exc)
             return
-        offset += _FRAME_LEN.size * 2 + payload_len
+        offset += framing.OVERHEAD + len(payload)
         yield op, key, value, flags, offset, None
 
 
@@ -426,11 +399,7 @@ class JournalWriter:
     def _append(self, payload: bytes) -> None:
         if self._stream is None:
             raise JournalError("journal writer is closed")
-        record = (
-            _FRAME_LEN.pack(len(payload))
-            + payload
-            + _FRAME_LEN.pack(zlib.crc32(payload))
-        )
+        record = framing.encode(payload)
         if self._segment_written + len(record) > self.config.segment_bytes:
             self._open_next_segment()
         stream = self._stream

@@ -24,13 +24,13 @@ writer beyond the on-disk ordering the writer already guarantees:
 from __future__ import annotations
 
 import os
-import zlib
 from typing import List, Optional, Tuple
 
+from repro.common import framing
 from repro.common.errors import JournalError
 from repro.durability.journal import (
     SEGMENT_MAGIC,
-    _FRAME_LEN,
+    _MAX_PAYLOAD,
     decode_payload,
     list_segments,
     segment_name,
@@ -106,7 +106,9 @@ class JournalTailer:
         """One whole record at the current offset, or None (partial/EOF).
 
         A partial frame is left untouched (the stream is rewound) so the
-        next call retries once the writer has finished it.  A CRC failure
+        next call retries once the writer has finished it; a length that
+        runs past the end of the file is partial too, and is refused
+        before its body is read.  A CRC failure or an implausible length
         is also treated as "no more": on a live primary it can only be a
         torn in-progress write; on a dead primary's directory it is the
         unacked torn tail recovery would truncate anyway.
@@ -114,22 +116,17 @@ class JournalTailer:
         stream = self._stream
         assert stream is not None
         start = self.offset
-        header = stream.read(_FRAME_LEN.size)
-        if len(header) != _FRAME_LEN.size:
-            stream.seek(start)
-            return None
-        (payload_len,) = _FRAME_LEN.unpack(header)
-        body = stream.read(payload_len + _FRAME_LEN.size)
-        if len(body) != payload_len + _FRAME_LEN.size:
-            stream.seek(start)
-            return None
-        payload, trailer = body[:payload_len], body[payload_len:]
-        (stored_crc,) = _FRAME_LEN.unpack(trailer)
-        if stored_crc != zlib.crc32(payload):
+        try:
+            payload = framing.read_frame(
+                stream, _MAX_PAYLOAD, os.fstat(stream.fileno()).st_size
+            )
+        except framing.FrameError:
+            payload = None
+        if payload is None:
             stream.seek(start)
             return None
         op, key, value = decode_payload(payload)
-        self.offset = start + _FRAME_LEN.size * 2 + payload_len
+        self.offset = start + framing.OVERHEAD + len(payload)
         return op, key, value, payload
 
     # -- the read loop ---------------------------------------------------------

@@ -1,9 +1,9 @@
 """Replication stream framing: length-prefixed, CRC-guarded frames.
 
 The journal (PR 6) is already a total order of acknowledged mutations;
-replication ships it. Every frame on the wire reuses the journal's
-framing discipline so a flipped bit anywhere in the stream is detected
-before a single byte reaches the replica's cache::
+replication ships it. Every frame on the wire uses the journal's frame
+codec (:mod:`repro.common.framing`) so a flipped bit anywhere in the
+stream is detected before a single byte reaches the replica's cache::
 
     [4-byte BE frame length][frame][4-byte BE CRC32(frame)]
     frame = [1-byte type][body]
@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import asyncio
 import struct
-import zlib
 from typing import Optional, Tuple
 
+from repro.common import framing
 from repro.common.errors import ReplicationError
 
-FRAME_LEN = struct.Struct(">I")
 POSITION = struct.Struct(">QQ")
 HEARTBEAT_BODY = struct.Struct(">QQQQ")
 ACK_BODY = struct.Struct(">QQQ")
@@ -69,10 +68,7 @@ SNAPSHOT_CHUNK_BYTES = 256 * 1024
 
 
 def encode_frame(frame_type: int, body: bytes = b"") -> bytes:
-    frame = bytes((frame_type,)) + body
-    return (
-        FRAME_LEN.pack(len(frame)) + frame + FRAME_LEN.pack(zlib.crc32(frame))
-    )
+    return framing.encode(bytes((frame_type,)) + body)
 
 
 def decode_frame(frame: bytes) -> Tuple[int, bytes]:
@@ -93,28 +89,21 @@ async def read_frame(reader) -> Optional[Tuple[int, bytes]]:
     the connection is poisoned and both sides resynchronise by
     reconnecting (TCP gives us no way to resync inside a broken stream).
     """
-    header = await reader.read(FRAME_LEN.size)
+    header = await reader.read(framing.LENGTH.size)
     if not header:
         return None
     try:
-        if len(header) != FRAME_LEN.size:
-            header += await reader.readexactly(FRAME_LEN.size - len(header))
-        (frame_len,) = FRAME_LEN.unpack(header)
-        if frame_len == 0 or frame_len > MAX_FRAME:
-            raise ReplicationError(
-                f"implausible replication frame length {frame_len}"
-            )
+        if len(header) != framing.LENGTH.size:
+            header += await reader.readexactly(framing.LENGTH.size - len(header))
+        (frame_len,) = framing.LENGTH.unpack(header)
+        framing.check_length(frame_len, MAX_FRAME, "replication frame", 1)
         frame = await reader.readexactly(frame_len)
-        trailer = await reader.readexactly(FRAME_LEN.size)
+        trailer = await reader.readexactly(framing.LENGTH.size)
+        framing.check_crc(frame, trailer, "replication frame")
     except (EOFError, asyncio.IncompleteReadError) as exc:
         raise ReplicationError("replication stream cut mid-frame") from exc
-    (stored_crc,) = FRAME_LEN.unpack(trailer)
-    actual_crc = zlib.crc32(frame)
-    if stored_crc != actual_crc:
-        raise ReplicationError(
-            f"replication frame CRC mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}"
-        )
+    except framing.FrameError as exc:
+        raise ReplicationError(str(exc)) from exc
     return decode_frame(frame)
 
 

@@ -445,26 +445,13 @@ class Block:
         """Content-Filter check; False means definitely absent."""
         return hashed_key in self.content_filter
 
-    def lookup(
-        self, key: bytes, hashed_key: int, compressor: Compressor
-    ) -> Optional[bytes]:
-        """Find ``key``'s value, decompressing the container.
-
-        Callers must consult :meth:`maybe_contains` first — that is the
-        whole point of the Content Filter — but lookup stays correct
-        without it.
-        """
-        large = self.large_refs.get(key)
-        if large is not None:
-            return compressor.decompress(large.compressed)
-        container = compressor.decompress(self.compressed)
-        return self.scan(container, key, hashed_key)
-
     def scan(self, container: bytes, key: bytes, hashed_key: int) -> Optional[bytes]:
         """Find ``key`` in an already-decompressed ``container``.
 
-        Split out from :meth:`lookup` so the zone can verify the container's
-        integrity between decompression and the scan.
+        Callers must consult :meth:`maybe_contains` first — that is the
+        whole point of the Content Filter — but the scan stays correct
+        without it.  Decompression is the caller's job, so the zone can
+        verify the payload's integrity before the scan.
         """
         pos = 0
         if self._index_hashes:
@@ -482,58 +469,6 @@ class Block:
                 return container[value_start : value_start + vlen]
             pos = value_start + vlen
         return None
-
-    def scan_many(
-        self, container: bytes, queries: List[Tuple[bytes, int]]
-    ) -> List[Optional[bytes]]:
-        """Find many ``(key, hashed_key)`` queries in one forward pass.
-
-        The batched-GET fast path for several keys landing in the same
-        block: queries are visited in the container's canonical
-        (hashed key, key) order, so one monotonic walk resolves all of
-        them — each container byte is inspected at most once instead of
-        once per key — while the sparse index still fast-forwards over
-        runs no query touches.  Duplicate queries reuse the first
-        occurrence's answer.  Results come back in ``queries`` order and
-        match per-key :meth:`scan` calls exactly.
-        """
-        count = len(queries)
-        values: List[Optional[bytes]] = [None] * count
-        order = sorted(range(count), key=lambda i: (queries[i][1], queries[i][0]))
-        index_hashes = self._index_hashes
-        index_offsets = self._index_offsets
-        end = len(container)
-        pos = 0
-        previous: Optional[Tuple[int, bytes]] = None
-        previous_value: Optional[bytes] = None
-        for query_index in order:
-            key, hashed_key = queries[query_index]
-            if previous == (hashed_key, key):
-                values[query_index] = previous_value
-                continue
-            if index_hashes:
-                slot = bisect.bisect_right(index_hashes, hashed_key) - 1
-                if slot >= 0 and index_offsets[slot] > pos:
-                    pos = index_offsets[slot]
-            value = None
-            while pos < end:
-                item_hash, klen, vlen = _unpack_header(container, pos)
-                if item_hash > hashed_key:
-                    break  # sorted layout: passed the possible position
-                key_start = pos + _HEADER_SIZE
-                value_start = key_start + klen
-                if item_hash == hashed_key:
-                    item_key = container[key_start:value_start]
-                    if item_key == key:
-                        value = container[value_start : value_start + vlen]
-                        break
-                    if item_key > key:
-                        break  # same hash run is key-sorted too
-                pos = value_start + vlen
-            previous = (hashed_key, key)
-            previous_value = value
-            values[query_index] = value
-        return values
 
     def items(self, compressor: Compressor) -> List[KVItem]:
         """Decode all compacted items (excludes large-item references)."""

@@ -107,7 +107,7 @@ class ZZoneStats:
 
 
 class ReadBatch:
-    """Per-batch memo shared by one :meth:`ZZone.get_many` call.
+    """Per-batch memo shared by the :meth:`ZZone.get` calls of one batch.
 
     Holds work that may legally be shared across the keys of one batch
     without changing any observable state or counter relative to the
@@ -136,12 +136,6 @@ class ReadBatch:
         self.staged_verified: set = set()
         self.leaf_cache: Dict[int, tuple] = {}
         self.trie_version = -1
-
-
-#: Sentinel returned by ``_resolve_batched`` when the key still needs a
-#: container scan (vs. a fully resolved hit/miss).
-_SCAN = object()
-_DONE = object()
 
 
 class ZZone:
@@ -348,20 +342,58 @@ class ZZone:
             return compressed, codec
         raise CodecError("compression failed with every codec in the chain")
 
-    def _container_of(self, leaf: Block, charge: bool = True) -> Optional[bytes]:
+    def _payload_ok(self, leaf: Block, batch: Optional[ReadBatch]) -> bool:
+        """Payload CRC; with a batch, verified once per generation."""
+        if batch is not None and leaf.generation in batch.payload_verified:
+            return True
+        ok = leaf.checksum_ok()
+        if ok and batch is not None:
+            batch.payload_verified.add(leaf.generation)
+        return ok
+
+    def _staged_ok(self, leaf: Block, batch: Optional[ReadBatch]) -> bool:
+        """Staged CRC; with a batch, verified once per (generation, length).
+
+        The buffer length rides in the token because staged appends do
+        not mint a new generation: a put between two reads of the same
+        batch cannot happen today (batches only read), but the token
+        keeps the memo safe if that ever changes.
+        """
+        token = (leaf.generation, len(leaf.staged_buffer))
+        if batch is not None and token in batch.staged_verified:
+            return True
+        ok = leaf.staged_checksum_ok()
+        if ok and batch is not None:
+            batch.staged_verified.add(token)
+        return ok
+
+    def _container_of(
+        self,
+        leaf: Block,
+        charge: bool = True,
+        batch: Optional[ReadBatch] = None,
+    ) -> Optional[bytes]:
         """Checksummed decompression of ``leaf``'s container.
 
         Returns the container bytes, or None after quarantining the block
         when its checksum fails or its codec raises / returns bytes of the
         wrong size.  ``charge=False`` keeps the decompression off the
-        priced stats (accounting-neutral iteration).
+        priced stats (accounting-neutral iteration).  With a ``batch``,
+        the priced ``decompressions`` counter is still charged per call —
+        exactly as without one — and the batch memo only spares the
+        physical decode, counted in ``container_decodes_saved``.
         """
         if charge:
             self.stats.decompressions += 1
-        if self.verify_checksums and not leaf.checksum_ok():
+        if self.verify_checksums and not self._payload_ok(leaf, batch):
             self.stats.checksum_failures += 1
             self._quarantine(leaf)
             return None
+        if batch is not None:
+            memo = batch.containers.get(leaf.generation)
+            if memo is not None:
+                self.stats.container_decodes_saved += 1
+                return memo
         codec = leaf.codec or self.compressor
         try:
             container = codec.decompress(leaf.compressed)
@@ -374,9 +406,13 @@ class ZZone:
             self._note_codec_failure()
             self._quarantine(leaf)
             return None
+        if batch is not None:
+            batch.containers[leaf.generation] = container
         return container
 
-    def _lookup_container(self, leaf: Block) -> Optional[bytes]:
+    def _lookup_container(
+        self, leaf: Block, batch: Optional[ReadBatch] = None
+    ) -> Optional[bytes]:
         """Container of ``leaf`` via the decompressed-container cache.
 
         Every read path — GET, flush merges, sweep, delete — goes through
@@ -386,12 +422,15 @@ class ZZone:
         with its usual latency (a flipped bit quarantines the block even
         when the cache is warm) while the expensive work is skipped.
         With the cache disabled this is exactly :meth:`_container_of`.
+        A ``batch`` memo sits underneath the real cache, which is probed
+        and maintained exactly as without one, so cache state after a
+        batch is indistinguishable from the equivalent GET loop.
         """
         if self.decompressed_cache_blocks == 0:
-            return self._container_of(leaf)
+            return self._container_of(leaf, batch=batch)
         cached = self._container_cache.get(leaf.generation)
         if cached is not None:
-            if self.verify_checksums and not leaf.checksum_ok():
+            if self.verify_checksums and not self._payload_ok(leaf, batch):
                 self.stats.checksum_failures += 1
                 self._quarantine(leaf)
                 return None
@@ -399,7 +438,7 @@ class ZZone:
             self._container_cache.move_to_end(leaf.generation)
             return cached
         self.stats.container_cache_misses += 1
-        container = self._container_of(leaf)
+        container = self._container_of(leaf, batch=batch)
         if container is not None:
             self._container_cache[leaf.generation] = container
             while len(self._container_cache) > self.decompressed_cache_blocks:
@@ -484,17 +523,31 @@ class ZZone:
 
     # -- core operations --------------------------------------------------------
 
-    def get(self, key: bytes, hashed: Optional[int] = None) -> Optional[Tuple[bytes, Optional[float]]]:
+    def get(
+        self,
+        key: bytes,
+        hashed: Optional[int] = None,
+        batch: Optional[ReadBatch] = None,
+    ) -> Optional[Tuple[bytes, Optional[float]]]:
         """Look up ``key``; returns (value, reuse_time) or None.
 
         ``reuse_time`` is the gap since the item's recorded previous access
         (None on the first recorded access) — the input to the N-zone
-        promotion rule (§3.3.2).
+        promotion rule (§3.3.2).  ``batch`` (from :meth:`read_batch`)
+        shares trie walks, CRC checks and container decodes across the
+        keys of one batch without changing any result or priced counter.
         """
         if hashed is None:
             hashed = hash_key(key)
         self.stats.gets += 1
-        leaf = self._trie.find_leaf(hashed)
+        trie = self._trie
+        if batch is None:
+            leaf = trie.find_leaf(hashed)
+        else:
+            if batch.trie_version != trie.version:
+                batch.leaf_cache.clear()
+                batch.trie_version = trie.version
+            leaf = trie.find_leaf_batched(hashed, batch.leaf_cache)
         if leaf is None:
             self.stats.misses += 1
             return None
@@ -509,7 +562,7 @@ class ZZone:
             # large refs: a staged entry is always the newest write of its
             # key.  Its running CRC is verified first so a bit-flip in
             # staged bytes can never be served.
-            if self.verify_checksums and not leaf.staged_checksum_ok():
+            if self.verify_checksums and not self._staged_ok(leaf, batch):
                 self.stats.staged_checksum_failures += 1
                 self._quarantine(leaf)
                 self.stats.misses += 1
@@ -530,7 +583,7 @@ class ZZone:
             reuse = leaf.record_get(hashed, self.clock.now())
             self.stats.hits += 1
             return value, reuse
-        container = self._lookup_container(leaf)
+        container = self._lookup_container(leaf, batch)
         if container is None:
             # Damaged block: quarantined, its items are misses from now on.
             self.stats.misses += 1
@@ -552,220 +605,28 @@ class ZZone:
         """A fresh per-batch memo, or None when batching must stand down.
 
         With a fault injector armed, every keyed access must pass through
-        :meth:`get` so corruption points fire at their seeded positions —
+        the injector so corruption points fire at their seeded positions —
         the chaos harnesses' byte-identical verdicts depend on it.
         """
         if self._faults is not None:
             return None
         return ReadBatch()
 
-    def get_batched(
-        self, key: bytes, hashed: int, batch: Optional[ReadBatch]
-    ) -> Optional[Tuple[bytes, Optional[float]]]:
-        """One key of a batched read; exactly :meth:`get` plus the memo."""
-        if batch is None or self._faults is not None:
-            return self.get(key, hashed)
-        kind, payload = self._resolve_batched(key, hashed, batch)
-        if kind is _SCAN:
-            leaf, container = payload
-            return self._finish_scan(leaf, key, hashed, leaf.scan(container, key, hashed))
-        return payload
+    #: One key of a batched read: :meth:`get` with the batch memo passed.
+    get_batched = get
 
     def get_many(
         self, keyed: List[Tuple[bytes, int]]
     ) -> List[Optional[Tuple[bytes, Optional[float]]]]:
         """Batched lookup of ``(key, hashed)`` pairs, in caller order.
 
-        Result- and stats-identical to calling :meth:`get` per key (the
-        property tests assert this bit for bit), while each block's
-        container is physically decoded and CRC-verified at most once per
-        batch.  Keys are *processed* in caller order — bucketing happens
-        through the generation-keyed memo, not by reordering — because
-        order is observable: container-cache LRU state, promotion
-        bookkeeping, and recent-access records all depend on it.  Scans
-        against blocks with no staged entries or large refs are deferred
-        per block and resolved in one sorted pass (:meth:`Block.scan_many`);
-        that is safe because a pure-container block's per-key effects
-        (counters, ``record_get``) commute with other blocks' and are
-        still applied in caller order.
+        :meth:`get` per key over one shared :meth:`read_batch`: result-
+        and stats-identical to a plain :meth:`get` loop (the property
+        tests assert this bit for bit), while each block's container is
+        physically decoded and CRC-verified at most once per batch.
         """
-        if self._faults is not None:
-            return [self.get(key, hashed) for key, hashed in keyed]
-        batch = ReadBatch()
-        results: List[Optional[Tuple[bytes, Optional[float]]]] = [None] * len(keyed)
-        #: generation -> (leaf, container, [(index, key, hashed), ...])
-        deferred: "OrderedDict[int, tuple]" = OrderedDict()
-        for index, (key, hashed) in enumerate(keyed):
-            kind, payload = self._resolve_batched(key, hashed, batch)
-            if kind is _SCAN:
-                leaf, container = payload
-                if leaf.staged_index or leaf.large_refs:
-                    # Mixed-path blocks keep strict per-key order: their
-                    # recent-access records interleave staged hits with
-                    # container hits, which a deferred scan would reorder.
-                    results[index] = self._finish_scan(
-                        leaf, key, hashed, leaf.scan(container, key, hashed)
-                    )
-                else:
-                    group = deferred.get(leaf.generation)
-                    if group is None:
-                        deferred[leaf.generation] = (leaf, container, [(index, key, hashed)])
-                    else:
-                        group[2].append((index, key, hashed))
-            else:
-                results[index] = payload
-        for leaf, container, queries in deferred.values():
-            values = leaf.scan_many(container, [(key, hashed) for _i, key, hashed in queries])
-            for (index, key, hashed), value in zip(queries, values):
-                results[index] = self._finish_scan(leaf, key, hashed, value)
-        return results
-
-    def _finish_scan(
-        self, leaf: Block, key: bytes, hashed: int, value: Optional[bytes]
-    ) -> Optional[Tuple[bytes, Optional[float]]]:
-        """Shared tail of :meth:`get`: account for a container-scan outcome."""
-        if value is None:
-            self.stats.false_positives += 1
-            self.stats.misses += 1
-            return None
-        reuse = leaf.record_get(hashed, self.clock.now())
-        self.stats.hits += 1
-        return value, reuse
-
-    def _resolve_batched(self, key: bytes, hashed: int, batch: ReadBatch):
-        """Mirror of :meth:`get` up to (but excluding) the container scan.
-
-        Returns ``(_DONE, result)`` for a fully resolved hit/miss or
-        ``(_SCAN, (leaf, container))`` when the key still needs its block
-        scanned.  Every counter is charged exactly where the sequential
-        path charges it.
-        """
-        stats = self.stats
-        stats.gets += 1
-        trie = self._trie
-        if batch.trie_version != trie.version:
-            batch.leaf_cache.clear()
-            batch.trie_version = trie.version
-        leaf = trie.find_leaf_batched(hashed, batch.leaf_cache)
-        if leaf is None:
-            stats.misses += 1
-            return _DONE, None
-        if self.use_content_filter and not leaf.maybe_contains(hashed):
-            stats.filter_skips += 1
-            stats.misses += 1
-            return _DONE, None
-        if leaf.staged_index:
-            if self.verify_checksums and not self._staged_ok_batched(leaf, batch):
-                stats.staged_checksum_failures += 1
-                self._quarantine(leaf)
-                stats.misses += 1
-                return _DONE, None
-            value = leaf.staged_lookup(key)
-            if value is not None:
-                reuse = leaf.record_get(hashed, self.clock.now())
-                stats.hits += 1
-                return _DONE, (value, reuse)
-        large = leaf.large_refs.get(key)
-        if large is not None:
-            value = self._large_bytes(leaf, key, large)
-            if value is None:
-                stats.misses += 1
-                return _DONE, None
-            large.accessed = True
-            reuse = leaf.record_get(hashed, self.clock.now())
-            stats.hits += 1
-            return _DONE, (value, reuse)
-        container = self._lookup_container_batched(leaf, batch)
-        if container is None:
-            stats.misses += 1
-            return _DONE, None
-        return _SCAN, (leaf, container)
-
-    def _staged_ok_batched(self, leaf: Block, batch: ReadBatch) -> bool:
-        """Staged CRC, verified once per (generation, buffer length).
-
-        The buffer length rides in the token because staged appends do
-        not mint a new generation: a put between two reads of the same
-        batch cannot happen today (batches only read), but the token
-        keeps the memo safe if that ever changes.
-        """
-        token = (leaf.generation, len(leaf.staged_buffer))
-        if token in batch.staged_verified:
-            return True
-        if leaf.staged_checksum_ok():
-            batch.staged_verified.add(token)
-            return True
-        return False
-
-    def _payload_ok_batched(self, leaf: Block, batch: ReadBatch) -> bool:
-        """Payload CRC, verified once per generation per batch."""
-        if leaf.generation in batch.payload_verified:
-            return True
-        if leaf.checksum_ok():
-            batch.payload_verified.add(leaf.generation)
-            return True
-        return False
-
-    def _container_of_batched(
-        self, leaf: Block, batch: ReadBatch
-    ) -> Optional[bytes]:
-        """:meth:`_container_of` backed by the batch's container memo.
-
-        The priced ``decompressions`` counter is charged unconditionally
-        — exactly as the sequential path would — and the memo only spares
-        the physical decode, counted in ``container_decodes_saved``.
-        """
-        self.stats.decompressions += 1
-        if self.verify_checksums and not self._payload_ok_batched(leaf, batch):
-            self.stats.checksum_failures += 1
-            self._quarantine(leaf)
-            return None
-        memo = batch.containers.get(leaf.generation)
-        if memo is not None:
-            self.stats.container_decodes_saved += 1
-            return memo
-        codec = leaf.codec or self.compressor
-        try:
-            container = codec.decompress(leaf.compressed)
-        except Exception:
-            self._note_codec_failure()
-            self._quarantine(leaf)
-            return None
-        if len(container) != leaf.uncompressed_size:
-            self._note_codec_failure()
-            self._quarantine(leaf)
-            return None
-        batch.containers[leaf.generation] = container
-        return container
-
-    def _lookup_container_batched(
-        self, leaf: Block, batch: ReadBatch
-    ) -> Optional[bytes]:
-        """:meth:`_lookup_container` with the batch memo underneath.
-
-        The *real* decompressed-container cache is probed and maintained
-        exactly as on the sequential path — same hit/miss counters, same
-        LRU movement, same fills and trims — so cache state after a batch
-        is indistinguishable from the equivalent GET loop.
-        """
-        if self.decompressed_cache_blocks == 0:
-            return self._container_of_batched(leaf, batch)
-        cached = self._container_cache.get(leaf.generation)
-        if cached is not None:
-            if self.verify_checksums and not self._payload_ok_batched(leaf, batch):
-                self.stats.checksum_failures += 1
-                self._quarantine(leaf)
-                return None
-            self.stats.container_cache_hits += 1
-            self._container_cache.move_to_end(leaf.generation)
-            return cached
-        self.stats.container_cache_misses += 1
-        container = self._container_of_batched(leaf, batch)
-        if container is not None:
-            self._container_cache[leaf.generation] = container
-            while len(self._container_cache) > self.decompressed_cache_blocks:
-                self._container_cache.popitem(last=False)
-        return container
+        batch = self.read_batch()
+        return [self.get(key, hashed, batch) for key, hashed in keyed]
 
     def maybe_contains(self, key: bytes, hashed: Optional[int] = None) -> bool:
         """Content-Filter-only membership check (no decompression)."""

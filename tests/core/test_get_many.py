@@ -33,6 +33,7 @@ KNOBS = (
     {"append_region_bytes": 512, "decompressed_cache_blocks": 2},
     {"decompressed_cache_blocks": 1},
     {"use_content_filter": False},
+    {"verify_checksums": False},
 )
 
 
@@ -72,8 +73,7 @@ def _apply(cache, ops) -> None:
         elif name == "setttl":
             cache.set(_key(op[1]), _value(op[1], op[2]), ttl=op[3] / 100.0)
         elif name == "setbig":
-            # Likely oversized for a block: exercises large-ref routing
-            # (and the batch path's no-deferral rule for such blocks).
+            # Likely oversized for a block: exercises large-ref routing.
             cache.set(_key(op[1]), _value(op[1], 400))
         elif name == "del":
             cache.delete(_key(op[1]))
@@ -172,7 +172,7 @@ class TestGetManyProperty:
 
 
 class TestGetManyZZone:
-    """Zone-level parity: staged entries, quarantine, deferred scans."""
+    """Zone-level parity: staged entries, quarantine, duplicate keys."""
 
     def _twin_zones(self, **kwargs):
         pair = []

@@ -56,6 +56,18 @@ class TestCodec:
         with pytest.raises(JournalError):
             decode_payload(payload)
 
+    def test_set_record_bytes_are_pinned(self, tmp_path):
+        # [len=13][op 'S'][keylen=6]["user:1"]["v1"][crc32], all big-endian.
+        expected = bytes.fromhex("0000000d5300000006757365723a317631b8b1559b")
+        assert encode_record(OP_SET, b"user:1", b"v1") == expected
+        with JournalWriter(
+            JournalConfig(directory=str(tmp_path), fsync="never")
+        ) as writer:
+            writer.append_set(b"user:1", b"v1")
+            path = writer.current_path
+        with open(path, "rb") as stream:
+            assert stream.read() == SEGMENT_MAGIC + expected
+
 
 class TestSegmentNames:
     def test_roundtrip(self):

@@ -10,6 +10,7 @@ the writer is still appending, torn tails, and pruned positions.
 
 import os
 import struct
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,28 @@ class TestTailDamage:
         # Still parked before the torn bytes, not erroring on them.
         assert tailer.read_batch() == []
         tailer.close()
+
+    def test_oversized_tail_length_is_refused_before_reading(self, tmp_path):
+        # A 64 MiB length header in front of 100 bytes: the tailer must
+        # park before it without allocating what the header claims.
+        writer = make_writer(tmp_path, segment_bytes=4096)
+        expected = append_sets(writer, 5)
+        writer.close()
+        ((seq, path),) = list_segments(str(tmp_path))
+        with open(path, "ab") as stream:
+            stream.write(struct.pack(">I", 64 << 20) + b"x" * 100)
+
+        tailer = JournalTailer(str(tmp_path), seq, 0)
+        tracemalloc.start()
+        try:
+            records = read_everything(tailer)
+            assert tailer.read_batch() == []
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            tailer.close()
+        assert [(op, key, value) for op, key, value, *_ in records] == expected
+        assert peak < 1 << 20
 
     def test_pruned_position_demands_resync(self, tmp_path):
         writer = make_writer(tmp_path, segment_bytes=256)

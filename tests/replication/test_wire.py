@@ -110,6 +110,13 @@ class TestTypedBodies:
         assert frame_type == wire.RECORD
         assert wire.decode_record_body(body) == (3, 999, b"journal payload")
 
+    def test_record_frame_bytes_are_pinned(self):
+        # [len=24]['R'][segment=3 u64][end offset=41 u64][payload][crc32].
+        frame = wire.encode_record_frame(3, 41, b"S\x00\x00\x00\x01kv")
+        assert frame == bytes.fromhex(
+            "00000018520000000000000003000000000000002953000000016b76c02cb150"
+        )
+
     def test_record_body_must_carry_a_payload(self):
         with pytest.raises(ReplicationError):
             wire.decode_record_body(wire.encode_position(1, 2))

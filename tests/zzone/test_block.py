@@ -82,7 +82,8 @@ class TestBlockBuild:
     def test_empty_block(self):
         block = Block.build([], NullCompressor())
         assert block.item_count == 0
-        assert block.lookup(b"missing", hash_key(b"missing"), NullCompressor()) is None
+        container = NullCompressor().decompress(block.compressed)
+        assert block.scan(container, b"missing", hash_key(b"missing")) is None
 
 
 class TestBlockLookup:
@@ -90,27 +91,31 @@ class TestBlockLookup:
         codec = ZlibCompressor()
         items = make_items(25)
         block = Block.build(items, codec)
+        container = codec.decompress(block.compressed)
         for item in items:
-            assert block.lookup(item.key, item.hashed_key, codec) == item.value
+            assert block.scan(container, item.key, item.hashed_key) == item.value
 
     def test_absent_key_returns_none(self):
         codec = ZlibCompressor()
         block = Block.build(make_items(10), codec)
-        assert block.lookup(b"nope", hash_key(b"nope"), codec) is None
+        container = codec.decompress(block.compressed)
+        assert block.scan(container, b"nope", hash_key(b"nope")) is None
 
     def test_single_item(self):
         codec = NullCompressor()
         items = make_items(1)
         block = Block.build(items, codec)
-        assert block.lookup(items[0].key, items[0].hashed_key, codec) == items[0].value
+        container = codec.decompress(block.compressed)
+        assert block.scan(container, items[0].key, items[0].hashed_key) == items[0].value
 
     def test_index_narrowing_still_correct(self):
         # >8 items exercises the 8-offset sparse index path.
         codec = NullCompressor()
         items = make_items(64, value_size=8)
         block = Block.build(items, codec)
+        container = codec.decompress(block.compressed)
         for item in items:
-            assert block.lookup(item.key, item.hashed_key, codec) == item.value
+            assert block.scan(container, item.key, item.hashed_key) == item.value
 
 
 class TestRecordGet:
